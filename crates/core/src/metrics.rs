@@ -88,12 +88,12 @@ pub const METRICS: &[MetricSpec] = &[
     MetricSpec {
         name: "requests_dropped_worker_died",
         kind: MetricKind::Counter,
-        help: "requests lost because a router worker died",
+        help: "requests lost because a lane worker died",
     },
     MetricSpec {
         name: "requests_migrated",
         kind: MetricKind::Counter,
-        help: "in-flight requests moved to another fleet instance",
+        help: "requests re-dispatched to another fleet instance after a failed batch",
     },
     // Lane / backend resilience.
     MetricSpec {

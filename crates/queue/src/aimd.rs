@@ -1,16 +1,16 @@
 //! AIMD adaptive concurrency: additive increase, multiplicative
 //! decrease over observed per-backend latency.
 //!
-//! Static `router_threads`/`queue_capacity` settings encode a guess
-//! about how much concurrency a backend sustains; the guess goes stale
-//! the moment an instance degrades. An [`AimdController`] replaces the
-//! trust with a probe: every completed dispatch reports its latency,
-//! samples above [`AimdConfig::latency_threshold`] (or outright
-//! failures) multiply the concurrency limit down by
+//! A static concurrency setting encodes a guess about how much work a
+//! backend sustains; the guess goes stale the moment an instance
+//! degrades. An [`AimdController`] replaces the guess with a probe:
+//! every completed dispatch reports its latency, samples above
+//! [`AimdConfig::latency_threshold`] (or outright failures) multiply
+//! the concurrency limit down by
 //! [`AimdConfig::decrease_factor`], and a sustained quiet period adds
 //! [`AimdConfig::increase_step`] back — the classic TCP-style sawtooth,
-//! here applied to in-flight requests per backend (the shape used by
-//! Vector's adaptive request concurrency).
+//! here applied to the in-flight images of each fleet instance (the
+//! shape used by Vector's adaptive request concurrency).
 //!
 //! The controller reads time through the mockable
 //! [`Clock`](condor_faults::retry::Clock), so every transition is unit
@@ -138,7 +138,7 @@ struct AimdState {
 
 /// One backend's adaptive concurrency limit.
 ///
-/// Thread-safe: routers read [`AimdController::limit`] before
+/// Thread-safe: the dispatcher reads [`AimdController::limit`] before
 /// dispatching and call [`AimdController::observe`] /
 /// [`AimdController::on_congestion`] after.
 pub struct AimdController {

@@ -154,7 +154,7 @@ struct BreakerInner {
     trips: u64,
 }
 
-/// One instance's circuit breaker. Thread-safe; routers call
+/// One instance's circuit breaker. Thread-safe; the dispatcher calls
 /// [`CircuitBreaker::admit`] before dispatch and
 /// [`CircuitBreaker::on_success`] / [`CircuitBreaker::on_failure`]
 /// after.
@@ -200,8 +200,8 @@ impl CircuitBreaker {
     }
 
     /// The current state, advancing Open → HalfOpen when the timeout
-    /// has elapsed (reads are transitions too, so a gauge scrape and a
-    /// router see the same state).
+    /// has elapsed (reads are transitions too, so a gauge scrape and the
+    /// dispatcher see the same state).
     pub fn state(&self) -> BreakerState {
         let now = self.clock.now();
         let mut inner = self.inner.lock();

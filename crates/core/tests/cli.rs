@@ -10,7 +10,12 @@ fn write_fixture(name: &str, contents: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join("condor-cli-tests");
     std::fs::create_dir_all(&dir).expect("temp dir");
     let path = dir.join(name);
-    std::fs::write(&path, contents).expect("write fixture");
+    // Tests run in parallel and share fixtures: write a private file and
+    // rename it into place, so a reader never sees a half-written one.
+    let thread = std::thread::current().id();
+    let tmp = dir.join(format!("{name}.{}.{thread:?}.tmp", std::process::id()));
+    std::fs::write(&tmp, contents).expect("write fixture");
+    std::fs::rename(&tmp, &path).expect("install fixture");
     path
 }
 
